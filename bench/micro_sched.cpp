@@ -10,10 +10,14 @@
 //    must stay flat; the replica grows linearly (the acceptance bar is
 //    >=10x at 1k resident threads).
 //  * BM_SchedulerDispatch: end-to-end yield->switch->dispatch round trips
-//    through the real scheduler at growing runnable-thread counts (flat).
+//    through the real scheduler at 10 to 10,000 runnable threads (flat;
+//    a residual drift at 10k is cache pressure from ~160MB of stacks and
+//    thread objects, not queue length).
 //  * BM_DispatchWithSleepers: dispatch cost while many threads sit on the
 //    deadline heap — the old per-tick O(sleepers) sweep is now one
 //    heap-top compare (flat).
+//  * BM_SchedulerSleepWake: sleep/wake cycles through the timer heap at
+//    10 to 10,000 sleeping threads (grows only logarithmically).
 //  * BM_SchedulerDispatchObs: the same round trip with the observability
 //    recorder installed — each rotation additionally pays two event-ring
 //    writes (dispatch + switch-out).  A small constant add, still flat in
@@ -135,7 +139,12 @@ void BM_SchedulerDispatch(benchmark::State& state) {
   state.SetLabel("runnable threads: " + std::to_string(n) +
                  " (ns/item = one dispatch; flat)");
 }
-BENCHMARK(BM_SchedulerDispatch)->Arg(16)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SchedulerDispatch)
+    ->Arg(10)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(10000);
 
 // BM_SchedulerDispatch with the obs recorder installed: prices the per-
 // dispatch instrumentation (one ring write on dispatch, one on switch-out;
@@ -205,6 +214,34 @@ void BM_DispatchWithSleepers(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchWithSleepers)->Arg(0)->Arg(256)->Arg(4096)->UseManualTime();
 
+// Sleep/wake churn with N threads: every thread arms a deadline, the idle
+// clock fast-forwards, all wake — kSleepRounds times.  Prices arm_timer +
+// fire_due_timers + the wakeup dispatch per cycle; the deadline min-heap
+// keeps it O(log N), where the old per-tick sleeper sweep was O(N).
+void BM_SchedulerSleepWake(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kSleepRounds = 8;
+  for (auto _ : state) {
+    state.PauseTiming();
+    rt::SchedulerConfig cfg;
+    cfg.quantum = 1;
+    cfg.stack_size = 16 * 1024;
+    rt::Scheduler sched(cfg);
+    for (int i = 0; i < n; ++i) {
+      sched.spawn("sleeper", rt::kNormPriority, [&sched] {
+        for (int r = 0; r < kSleepRounds; ++r) sched.sleep_for(100);
+      });
+    }
+    state.ResumeTiming();
+    sched.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
+                          kSleepRounds);
+  state.SetLabel("sleeping threads: " + std::to_string(n) +
+                 " (ns/item = one sleep/wake cycle; ~log n)");
+}
+BENCHMARK(BM_SchedulerSleepWake)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -216,8 +253,10 @@ int main(int argc, char** argv) {
       "\nExpected shape: the bitmap queue stays flat while the linear-scan\n"
       "replica grows with resident threads (>=10x apart at 1k);\n"
       "BM_SchedulerDispatch and BM_DispatchWithSleepers stay flat as\n"
-      "threads/timers grow; BM_SchedulerDispatchObs stays flat too, a\n"
-      "constant above BM_SchedulerDispatch (two timestamped event-ring\n"
-      "writes per rotation, dominated by the steady-clock reads).\n");
+      "threads/timers grow (up to ~2x drift at 10k threads from cache\n"
+      "pressure); BM_SchedulerSleepWake grows only logarithmically;\n"
+      "BM_SchedulerDispatchObs stays flat too, a constant above\n"
+      "BM_SchedulerDispatch (two timestamped event-ring writes per\n"
+      "rotation, dominated by the steady-clock reads).\n");
   return 0;
 }

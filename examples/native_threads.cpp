@@ -1,80 +1,80 @@
-// native_threads: the pthreadrt extension — revocable locking for real
-// std::thread, outside the green-thread VM.
+// native_threads: revocation on real OS threads, through scheduler shards.
 //
-// A low-priority logger batches records into a shared ring under a
-// RevocableMutex; a high-priority alerting thread occasionally needs the
-// same lock NOW.  With a plain mutex the alert waits out the whole batch;
-// with the revocable mutex the batch is rolled back at the logger's next
-// safepoint and the alert proceeds.
-#include <atomic>
+// A two-shard rt::DomainSet runs each shard on its own OS thread
+// (kOsThreads, DESIGN.md §16).  On shard 0 a priority-2 logger writes
+// 4000-record batches into a ring under an engine monitor.  On shard 1 an
+// alerter needs a consistent ring head now, 50 times: it ships each read to
+// shard 0 with DomainSet::remote_call, whose priority-9 helper contends for
+// the monitor like a local thread, so the engine revokes the logger's batch
+// at its next yield point and the alert proceeds.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
 
-#include "pthreadrt/revocable_mutex.hpp"
+#include "core/engine.hpp"
+#include "heap/heap.hpp"
+#include "rt/domain.hpp"
 
 int main() {
-  using namespace rvk::pthreadrt;
+  using namespace rvk;
   using Clock = std::chrono::steady_clock;
-
-  RevocableMutex ring_lock("ring");
-  constexpr int kRing = 64;
-  std::vector<std::unique_ptr<TxCell<std::uint64_t>>> ring;
-  for (int i = 0; i < kRing; ++i) {
-    ring.push_back(std::make_unique<TxCell<std::uint64_t>>(ring_lock, 0));
-  }
-  TxCell<std::uint64_t> head(ring_lock, 0);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> alerts_served{0};
-  std::atomic<std::int64_t> worst_alert_ns{0};
-  int logger_rollbacks = 0;
-
-  std::thread logger([&] {
-    std::uint64_t record = 0;
-    while (!stop.load()) {
-      logger_rollbacks += ring_lock.run(2, [&](Section& s) {
-        // A long batch: 4k records, safepoint-polled.
-        const std::uint64_t base = s.read(head);
-        for (int i = 0; i < 4000; ++i) {
-          const std::uint64_t h = (base + i) % kRing;
-          s.write(*ring[static_cast<std::size_t>(h)], record + i);
-          s.safepoint();
+  using Ms = std::chrono::duration<double, std::milli>;
+  constexpr int kRing = 64, kBatch = 4000, kAlerts = 50;
+  rt::DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.mode = rt::DomainSet::Mode::kOsThreads;
+  rt::DomainSet set(cfg);
+  heap::Heap heap;  // this and the next five: shard 0's thread only
+  std::unique_ptr<core::Engine> engine;
+  core::RevocableMonitor* ring_lock = nullptr;
+  heap::HeapObject* ring = nullptr;  // slot 0 is the head
+  int served = 0;
+  core::EngineStats st;
+  double worst_ms = 0;  // shard 1's
+  set.start(
+      [&](rt::Domain& d) {
+        if (d.id() == 1) {
+          d.sched().spawn("alerter", 9, [&] {
+            for (int a = 0; a < kAlerts; ++a) {
+              // Shard 1 runs nothing else: alerts may arrive in real time.
+              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+              const auto t0 = Clock::now();
+              set.remote_call(0, 9, "alert", [&] {
+                engine->synchronized(
+                    *ring_lock, [&] { (void)ring->get<std::uint64_t>(0); });
+                ++served;
+              });
+              worst_ms = std::max(worst_ms, Ms(Clock::now() - t0).count());
+            }
+          });
+          return;
         }
-        s.write(head, (base + 4000) % kRing);
-      });
-      record += 4000;
-    }
-  });
+        engine = std::make_unique<core::Engine>(d.sched());
+        ring_lock = engine->make_monitor("ring");
+        ring = heap.alloc("ring", kRing + 1);
+        d.sched().spawn("logger", 2, [&] {
+          for (std::uint64_t record = 0; served < kAlerts; record += kBatch) {
+            engine->synchronized(*ring_lock, [&] {
+              const auto head = ring->get<std::uint64_t>(0);
+              for (int i = 0; i < kBatch; ++i) {
+                ring->set<std::uint64_t>(1 + (head + i) % kRing, record + i);
+                rt::yield_point();
+              }
+              ring->set<std::uint64_t>(0, (head + kBatch) % kRing);
+            });
+          }
+          st = engine->stats();  // every alert has committed by now
+        });
+      },
+      [&](rt::Domain& d) { if (d.id() == 0) engine.reset(); });
+  set.join();
 
-  std::thread alerter([&] {
-    for (int a = 0; a < 50; ++a) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      const auto t0 = Clock::now();
-      ring_lock.run(9, [&](Section& s) {
-        (void)s.read(head);  // read a consistent ring head
-      });
-      const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          Clock::now() - t0)
-                          .count();
-      if (dt > worst_alert_ns.load()) worst_alert_ns.store(dt);
-      alerts_served.fetch_add(1);
-    }
-    stop.store(true);
-  });
-
-  alerter.join();
-  logger.join();
-
-  const MutexStats st = ring_lock.stats();
   std::printf(
-      "native_threads: %llu alerts served, worst alert latency %.3f ms\n"
-      "logger: %d rollbacks (%llu revocations requested, %llu commits)\n"
-      "The revocable mutex preempted the logger's 4000-record batches at\n"
-      "its safepoints; every alert saw a consistent ring state.\n",
-      static_cast<unsigned long long>(alerts_served.load()),
-      static_cast<double>(worst_alert_ns.load()) / 1e6, logger_rollbacks,
-      static_cast<unsigned long long>(st.revocations_requested),
-      static_cast<unsigned long long>(st.commits));
-  return 0;
+      "native_threads: %d alerts served, worst alert latency %.3f ms\n"
+      "logger: %llu rollbacks (%llu revocations requested)\n",
+      served, worst_ms, static_cast<unsigned long long>(st.rollbacks_completed),
+      static_cast<unsigned long long>(st.revocations_requested));
+  return served == kAlerts && st.rollbacks_completed > 0 ? 0 : 1;
 }

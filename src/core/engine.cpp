@@ -57,6 +57,13 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
     RVK_CHECK_MSG(d->engine_ctx() == nullptr,
                   "this shard already has an engine");
     domain_ = d;
+    // Multi-shard: the shared MonitorTable pool needs its mutex from here
+    // on — before this constructor's first table access (the veto below),
+    // because peer shards build their engines concurrently on their own OS
+    // threads.  Idempotent across shards.
+    if (d->set() != nullptr && d->set()->size() > 1) {
+      monitor::MonitorTable::global().set_concurrent(true);
+    }
   } else {
     RVK_CHECK_MSG(t_active_engine == nullptr,
                   "another Engine is already active");
@@ -140,13 +147,6 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
                     "config (jmm_guard / dedup_logging / volatile_policy)");
     }
     ++g_hooks.count;
-    // Multi-shard: the shared MonitorTable pool needs its mutex from here
-    // on.  Flipped before this shard runs a single vthread, and idempotent
-    // across shards.
-    if (domain_ != nullptr && domain_->set() != nullptr &&
-        domain_->set()->size() > 1) {
-      monitor::MonitorTable::global().set_concurrent(true);
-    }
   }
 
   // Revocation-safety analyzer: per-config or process-wide via RVK_ANALYZE.

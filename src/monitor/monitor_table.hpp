@@ -106,30 +106,27 @@ class MonitorTable {
   // deflating under it would be a use-after-free).
   static bool quiescent(const MonitorBase& m);
 
-  // Engine veto: an extra predicate ANDed into deflatable().  Returns true
-  // to allow deflation.  An engine installs "no live or lazy frame
-  // references m" keyed by its owner tag (the same tag its slots carry), so
-  // under sharding (DESIGN.md §16) each shard's engine vetoes exactly its
-  // own slots and never has its private frame state walked from another
-  // shard.  The untagged overload is the global fallback consulted for
-  // every slot (tests, baselines); cleared with an empty function.
+  // Engine veto: an extra predicate ANDed into deflatable() for the slots
+  // created under `tag`.  Returns true to allow deflation.  An engine
+  // installs "no live or lazy frame references m" keyed by its owner tag
+  // (the same tag its slots carry), so under sharding (DESIGN.md §16) each
+  // shard's engine vetoes exactly its own slots and never has its private
+  // frame state walked from another shard.  Cleared with an empty function.
   using DeflateVeto = std::function<bool(const MonitorBase&)>;
-  void set_deflate_veto(DeflateVeto allow) {
-    auto lk = lock();
-    deflate_veto_ = std::move(allow);
-  }
   void set_deflate_veto(void* tag, DeflateVeto allow);
 
   // Deflation permission for a monitor created under `owner_tag`: the base
-  // quiescence predicate, the global veto, and the tag's veto.
+  // quiescence predicate and the tag's veto.
   bool deflatable(const MonitorBase& m, const void* owner_tag = nullptr) const;
 
-  // Multi-shard switch (flipped by the first engine that binds to a multi-
-  // shard DomainSet, before any shard thread runs): guards the slot pool
-  // with a mutex.  Single-shard runs never take it — the lookup fast path
-  // stays one branch.
+  // Multi-shard switch: guards the slot pool with a mutex.  Every engine
+  // that binds to a multi-shard DomainSet flips it first thing in its
+  // constructor, before its own first table access — shard engines are
+  // built concurrently, each on its shard's OS thread.  Single-shard runs
+  // never take the mutex — the lookup fast path stays one branch.
   // Relaxed is enough: a shard only touches the table after its own
-  // engine's constructor flipped this in the same thread's program order.
+  // engine's constructor flipped this in the same thread's program order,
+  // and the mutex then orders the data.
   void set_concurrent(bool on) {
     concurrent_.store(on, std::memory_order_relaxed);
   }
@@ -202,7 +199,6 @@ class MonitorTable {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
   std::size_t live_ = 0;
-  DeflateVeto deflate_veto_;
   std::unordered_map<const void*, DeflateVeto> tag_vetoes_;
   MonitorTableStats stats_;
   std::atomic<bool> concurrent_{false};

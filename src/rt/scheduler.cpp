@@ -242,8 +242,10 @@ void Scheduler::dispatch(VThread* t) {
       // above completed the switch off that stack (and switch_out already
       // tore down its ASan fake stack), so nothing can touch it again: a
       // finished thread is never dispatched and join() only reads control-
-      // block fields.  This keeps memory O(live threads) when open-loop
-      // drivers (svc/) spawn one short-lived green thread per request.
+      // block fields.  This keeps *stack* memory O(live threads) when
+      // open-loop drivers (svc/) spawn one short-lived green thread per
+      // request.  The control block, undo log and dedup table are not
+      // reclaimed: they live in threads_ until the scheduler dies.
       t->stack_.reset();
       t->body_ = nullptr;
 #ifdef RVK_TSAN_FIBERS

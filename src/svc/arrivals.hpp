@@ -1,9 +1,10 @@
 // Open-loop arrival generation on the virtual clock (DESIGN.md §15).
 //
 // An open-loop load generator injects requests on a precomputed schedule and
-// never waits for completions — the defining difference from the closed-loop
-// macro_bank population, whose threads cannot arrive while their previous
-// operation is still queued (coordinated omission).  The schedule is
+// never waits for completions — the defining difference from a closed-loop
+// population (the figure workloads, examples/bank_audit), whose threads
+// cannot arrive while their previous operation is still queued (coordinated
+// omission).  The schedule is
 // generated ahead of the run from one seed, so a load point is replayable
 // and byte-identical across platforms:
 //

@@ -13,9 +13,9 @@
 //
 // In-flight threads are bounded by an admission cap; an arrival beyond the
 // cap is shed (counted, never silently dropped).  Finished request stacks
-// are reclaimed by the scheduler (rt::Scheduler), so memory is
-// O(max_in_flight), not O(total requests) — that is what lets a sweep
-// inject hundreds of thousands of requests.
+// are reclaimed by the scheduler (rt::Scheduler), so stack memory is
+// O(max_in_flight); each finished request's control block and undo log
+// still live until the scheduler dies (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,7 @@ struct OpenLoopConfig {
   std::uint64_t duration = 40'000;  // injection window, virtual ticks
   // Admission cap (excess arrivals shed and counted).  16384 admits the
   // full macro_open surge point (~6k peak in flight, past the old 4096
-  // cap) without shedding; memory stays O(max_in_flight) regardless
-  // (DESIGN.md §15).
+  // cap) without shedding (DESIGN.md §15).
   int max_in_flight = 16384;
   std::uint64_t seed = 1;
   int quantum = 50;

@@ -17,7 +17,8 @@
 //
 // Section bodies are written for re-execution: the revocation engine may
 // roll a body back and restart it, so each body reseeds its private RNG
-// from a value fixed before entry (the same discipline macro_bank uses).
+// from a value fixed before entry, so every re-execution replays the same
+// draws.
 #pragma once
 
 #include <array>

@@ -4,11 +4,12 @@
 // targeting, upward pin closure §2.2, refusal-as-counted-drop), cross-shard
 // notify wakes a remote waiter, a remote boost repositions the target in
 // its home shard's queues, and the deflation veto holds while any inbound
-// message is in flight.
+// message is in flight.  The last test starts shards on real OS threads
+// instead, to check that their engines can be built concurrently.
 //
-// All scenarios run with strict_priority=true: sequencing below is argued
-// from priorities (a priority-1 trigger thread runs only after everything
-// above it blocked), which round-robin would not guarantee.
+// All cooperative scenarios run with strict_priority=true: sequencing below
+// is argued from priorities (a priority-1 trigger thread runs only after
+// everything above it blocked), which round-robin would not guarantee.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -393,6 +394,38 @@ TEST(CrossShardDeflationTest, InboundWorkVetoesDeflation) {
     EXPECT_EQ(d.inbound_work(), 0u);
     EXPECT_EQ(eng.scavenge_monitors(), 1u);  // quiescent again: deflates
   });
+}
+
+// The one kOsThreads scenario here: each shard builds its Engine in the
+// start lambda, on its own OS thread, so two engine constructors run at
+// once and both register a deflation veto in the process-wide
+// MonitorTable.  The table must already be in its locked multi-shard mode
+// by then; otherwise the two unlocked hash-map inserts race (TSan reports
+// it; without TSan it can corrupt the veto map).  Repeated, since a race
+// needs the constructors to overlap.
+TEST(CrossShardStartupTest, ConcurrentEngineConstructionIsRaceFree) {
+  for (int round = 0; round < 20; ++round) {
+    rt::DomainSet::Config cfg;
+    cfg.shards = 2;
+    cfg.mode = rt::DomainSet::Mode::kOsThreads;
+    rt::DomainSet set(cfg);
+    std::unique_ptr<core::Engine> eng[2];
+    std::uint64_t committed[2] = {0, 0};
+    set.start(
+        [&](rt::Domain& d) {
+          core::Engine& e = *(eng[d.id()] =
+                                  std::make_unique<core::Engine>(d.sched()));
+          core::RevocableMonitor* m = e.make_monitor("m");
+          d.sched().spawn("w", 5, [&e, m] { e.synchronized(*m, [] {}); });
+        },
+        [&](rt::Domain& d) {
+          committed[d.id()] = eng[d.id()]->stats().sections_committed;
+          eng[d.id()].reset();
+        });
+    set.join();
+    EXPECT_EQ(committed[0], 1u);
+    EXPECT_EQ(committed[1], 1u);
+  }
 }
 
 }  // namespace

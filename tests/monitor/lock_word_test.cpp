@@ -250,12 +250,15 @@ TEST(MonitorTableTest, GenerationCeilingRetiresTheSlot) {
 
 TEST(MonitorTableTest, VetoBlocksDeflation) {
   MonitorTable& table = MonitorTable::global();
+  int owner = 0;  // the veto's tag, standing in for an engine
   LockWord word;
-  table.inflate(word, "t", InflationCause::kWait);
-  table.set_deflate_veto([](const MonitorBase&) { return false; });
+  table.inflate(word, "t", InflationCause::kWait, {}, &owner);
+  table.set_deflate_veto(&owner, [](const MonitorBase&) { return false; });
   EXPECT_FALSE(table.try_deflate(word));  // quiescent, but vetoed
-  EXPECT_EQ(table.scavenge(), 0u);
-  table.set_deflate_veto({});
+  EXPECT_EQ(table.scavenge(&owner), 0u);
+  table.scavenge();  // the whole-table sweep skips it too
+  EXPECT_NE(table.monitor_at(word), nullptr);
+  table.set_deflate_veto(&owner, {});
   EXPECT_TRUE(table.try_deflate(word));
 }
 
