@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "obs/recorder.hpp"
 #include "rt/scheduler.hpp"
 
@@ -47,8 +48,8 @@ struct Payload {
     threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       threads.push_back(std::make_unique<rt::VThread>(
-          &sched, static_cast<rt::ThreadId>(i + 1), "p" + std::to_string(i),
-          static_cast<int>(i % 10) + 1, [] {}, /*stack_size=*/4096));
+          &sched, static_cast<rt::ThreadId>(i + 1), indexed_name("p", i),
+          static_cast<int>(i % 10) + 1, [] {}, /*stack=*/nullptr));
     }
   }
   rt::Scheduler sched;
@@ -127,7 +128,7 @@ void BM_SchedulerDispatch(benchmark::State& state) {
     cfg.stack_size = 16 * 1024;
     rt::Scheduler sched(cfg);
     for (int i = 0; i < n; ++i) {
-      sched.spawn("t" + std::to_string(i), rt::kNormPriority, [&sched] {
+      sched.spawn(indexed_name("t", i), rt::kNormPriority, [&sched] {
         for (int k = 0; k < kYieldsPerThread; ++k) sched.yield_point();
       });
     }
@@ -165,7 +166,7 @@ void BM_SchedulerDispatchObs(benchmark::State& state) {
     // harness does per repetition.
     obs::on_run_begin();
     for (int i = 0; i < n; ++i) {
-      sched.spawn("t" + std::to_string(i), rt::kNormPriority, [&sched] {
+      sched.spawn(indexed_name("t", i), rt::kNormPriority, [&sched] {
         for (int k = 0; k < kYieldsPerThread; ++k) sched.yield_point();
       });
     }

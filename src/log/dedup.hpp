@@ -27,9 +27,10 @@ namespace rvk::log {
 
 class DedupTable {
  public:
-  explicit DedupTable(std::size_t initial_capacity = 256) {
-    slots_.resize(round_up_pow2(initial_capacity));
-  }
+  // The slot array is allocated by the first should_log(), so a thread that
+  // never logs with dedup on (the default) pays nothing for its table.
+  explicit DedupTable(std::size_t initial_capacity = 256)
+      : initial_capacity_(round_up_pow2(initial_capacity)) {}
 
   DedupTable(const DedupTable&) = delete;
   DedupTable& operator=(const DedupTable&) = delete;
@@ -37,7 +38,7 @@ class DedupTable {
   // Returns true if `addr` has NOT yet been logged within frame `frame_id`
   // (caller must then log it); records the pair either way.
   bool should_log(const Word* addr, std::uint64_t frame_id) {
-    if (size_ * 10 >= slots_.size() * 7) grow();
+    if (size_ * 10 >= slots_.size() * 7) grow();  // also the first allocation
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = hash(addr) & mask;
     for (;;) {
@@ -61,6 +62,13 @@ class DedupTable {
   void clear() {
     if (size_ == 0) return;
     std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
+  // Frees the slot array (the next should_log() allocates it afresh).  The
+  // scheduler calls this when the owning thread finishes.
+  void release_storage() {
+    std::vector<Slot>().swap(slots_);
     size_ = 0;
   }
 
@@ -89,7 +97,7 @@ class DedupTable {
 
   void grow() {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
+    slots_.assign(old.empty() ? initial_capacity_ : old.size() * 2, Slot{});
     size_ = 0;
     const std::size_t mask = slots_.size() - 1;
     for (const Slot& s : old) {
@@ -101,6 +109,7 @@ class DedupTable {
     }
   }
 
+  const std::size_t initial_capacity_;
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
 };

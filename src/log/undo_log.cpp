@@ -34,6 +34,8 @@ ChunkPool& pool() {
   return p;
 }
 
+thread_local std::uint64_t g_allocated_chunks = 0;
+
 std::unique_ptr<Entry[]> pool_take() {
   ChunkPool& p = pool();
   if (!p.alive || p.count == 0) return nullptr;
@@ -53,10 +55,20 @@ std::size_t pooled_chunk_count() {
   return p.alive ? p.count : 0;
 }
 
+std::uint64_t allocated_chunk_count() { return g_allocated_chunks; }
+
 }  // namespace detail
 
-UndoLog::~UndoLog() {
+void UndoLog::return_chunks() {
   for (auto& chunk : chunks_) detail::pool_release(std::move(chunk));
+  chunks_.clear();
+  cursor_ = chunk_begin_ = chunk_end_ = nullptr;
+  active_ = 0;
+}
+
+void UndoLog::release_storage() {
+  RVK_CHECK_MSG(empty(), "release_storage on a non-empty undo log");
+  return_chunks();
 }
 
 void UndoLog::next_chunk() {
@@ -66,7 +78,12 @@ void UndoLog::next_chunk() {
   }
   if (active_ == chunks_.size()) {
     std::unique_ptr<Entry[]> chunk = detail::pool_take();
-    if (chunk == nullptr) chunk = std::make_unique<Entry[]>(kChunkEntries);
+    if (chunk == nullptr) {
+      // No zero-fill: record() writes every entry before entry() can read
+      // it, and untouched pages of a fresh chunk stay unfaulted.
+      chunk = std::make_unique_for_overwrite<Entry[]>(kChunkEntries);
+      ++detail::g_allocated_chunks;
+    }
     chunks_.push_back(std::move(chunk));
     log_obs_event(LogEventKind::kChunkGrow, capacity());
   }

@@ -25,7 +25,9 @@
 // retired chunks — those holding no live entries — on a thread-local free
 // list, and next_chunk() takes from it before touching the allocator.  A
 // steady-state section therefore never mallocs, and a thread that logged one
-// burst does not hold its high-water footprint forever.
+// burst does not hold its high-water footprint forever.  When a green thread
+// finishes, the scheduler hands its whole log back (release_storage), so the
+// next thread spawned on that OS thread logs into a recycled chunk.
 #pragma once
 
 #include <cstddef>
@@ -79,6 +81,9 @@ extern void (*g_log_obs_hook)(LogEventKind, std::uint64_t);
 // Chunks currently parked on the calling OS thread's free list
 // (tests/diagnostics).
 std::size_t pooled_chunk_count();
+// Chunks the calling OS thread ever took from the allocator rather than the
+// pool (tests/diagnostics: a bounded workload keeps this bounded).
+std::uint64_t allocated_chunk_count();
 }  // namespace detail
 
 inline void set_log_obs_hook(void (*hook)(LogEventKind, std::uint64_t)) {
@@ -107,9 +112,10 @@ struct LogStats {
 
 class UndoLog {
  public:
-  // Entries per chunk.  4096 × 40 B keeps a chunk comfortably inside the
-  // page allocator's cheap range while making the grow branch fire once per
-  // 4096 appends.
+  // Entries per chunk.  4096 × 32 B = 128 KB — exactly glibc's default
+  // mmap threshold, so a fresh chunk is typically its own mapping whose
+  // pages fault in only as entries are written — while making the grow
+  // branch fire once per 4096 appends.
   static constexpr std::size_t kChunkShift = 12;
   static constexpr std::size_t kChunkEntries = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kChunkMask = kChunkEntries - 1;
@@ -124,7 +130,7 @@ class UndoLog {
   }
 
   // Returns every chunk to the per-thread pool.
-  ~UndoLog();
+  ~UndoLog() { return_chunks(); }
 
   UndoLog(const UndoLog&) = delete;
   UndoLog& operator=(const UndoLog&) = delete;
@@ -192,6 +198,13 @@ class UndoLog {
   }
   void reset_stats() { stats_ = LogStats{}; }
 
+  // Returns every chunk to the per-thread pool and resets the cursor, as if
+  // freshly constructed — except that the traffic statistics survive (the
+  // engine sums them over finished threads).  The scheduler calls this when
+  // a thread finishes; a finished thread has no open frame, so the log must
+  // be empty (checked).
+  void release_storage();
+
   // Allocated entry slots across all chunks (diagnostics).
   std::size_t capacity() const { return chunks_.size() << kChunkShift; }
 
@@ -210,6 +223,9 @@ class UndoLog {
   // Returns chunks holding no live entries (index > active_) to the pool.
   // Only called from truncation paths, never from record().
   RVK_NO_YIELD void release_retired_chunks();
+
+  // Returns every chunk to the pool and forgets the cursor.
+  void return_chunks();
 
   void note_high_water() {
     const std::uint64_t n = size();

@@ -19,6 +19,7 @@
 #endif
 #endif
 #ifdef RVK_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -89,13 +90,13 @@ VThread* current_vthread() {
 // VThread
 
 VThread::VThread(Scheduler* sched, ThreadId id, std::string name, int priority,
-                 std::function<void()> body, std::size_t stack_size)
+                 std::function<void()> body, std::unique_ptr<Stack> stack)
     : sched_(sched),
       id_(id),
       name_(std::move(name)),
       priority_(priority),
       body_(std::move(body)),
-      stack_(std::make_unique<Stack>(stack_size)) {
+      stack_(std::move(stack)) {
   RVK_CHECK_MSG(priority >= kMinPriority && priority <= kMaxPriority,
                 "thread priority out of Java range [1,10]");
 }
@@ -148,11 +149,26 @@ Scheduler::~Scheduler() {
 #endif
 }
 
+std::unique_ptr<Stack> Scheduler::take_stack() {
+  if (free_stacks_.empty()) {
+    ++stacks_mapped_;
+    return std::make_unique<Stack>(cfg_.stack_size);
+  }
+  std::unique_ptr<Stack> stack = std::move(free_stacks_.back());
+  free_stacks_.pop_back();
+#ifdef RVK_ASAN_FIBERS
+  // The dead fiber may have left redzones poisoned (frames it never
+  // returned from); the new fiber starts on a clean range.
+  __asan_unpoison_memory_region(stack->base(), stack->size());
+#endif
+  return stack;
+}
+
 VThread* Scheduler::spawn(std::string name, int priority,
                           std::function<void()> body) {
   auto thread = std::make_unique<VThread>(this, next_id_++, std::move(name),
                                           priority, std::move(body),
-                                          cfg_.stack_size);
+                                          take_stack());
   VThread* t = thread.get();
   RVK_CHECK_MSG(getcontext(&t->context_) == 0, "getcontext failed");
   t->context_.uc_stack.ss_sp = t->stack_->base();
@@ -238,15 +254,25 @@ void Scheduler::dispatch(VThread* t) {
       t->state_ = ThreadState::kFinished;
       --live_count_;
       wake_all(t->joiners_);
-      // Reclaim the dead fiber's execution resources.  The swapcontext
-      // above completed the switch off that stack (and switch_out already
-      // tore down its ASan fake stack), so nothing can touch it again: a
+      // Recycle the dead fiber's heavy resources.  The swapcontext above
+      // completed the switch off its stack (and switch_out already tore
+      // down its ASan fake stack), so nothing can touch it again: a
       // finished thread is never dispatched and join() only reads control-
-      // block fields.  This keeps *stack* memory O(live threads) when
+      // block fields.  The stack goes on the free list for the next
+      // spawn(), the undo-log chunks to this OS thread's chunk pool
+      // (keeping the log's stats, which the engine sums over finished
+      // threads) and the dedup slot array back to the allocator.  So when
       // open-loop drivers (svc/) spawn one short-lived green thread per
-      // request.  The control block, undo log and dedup table are not
-      // reclaimed: they live in threads_ until the scheduler dies.
-      t->stack_.reset();
+      // request, a spawn maps, faults and zero-fills nothing, and memory
+      // beyond the ~1.6 KB control block (kept in threads_ until the
+      // scheduler dies) is O(live threads).
+      if (free_stacks_.size() < kMaxFreeStacks) {
+        free_stacks_.push_back(std::move(t->stack_));
+      } else {
+        t->stack_.reset();
+      }
+      t->undo_log.release_storage();
+      t->dedup.release_storage();
       t->body_ = nullptr;
 #ifdef RVK_TSAN_FIBERS
       // Back on the scheduler fiber (switch_out announced that), so the

@@ -256,6 +256,11 @@ class Scheduler {
   // thousand — the open-loop driver's regime).
   std::uint64_t stacks_reclaimed() const { return stacks_reclaimed_; }
 
+  // Fresh stacks spawn() mapped because the free list of reclaimed ones was
+  // empty.  Bounded by the live-thread high-water while that stays within
+  // kMaxFreeStacks, however many threads a run spawns.
+  std::uint64_t stacks_mapped() const { return stacks_mapped_; }
+
   // True if the deadline heap still holds a live (non-stale-generation)
   // timer for `t` of the given flavour.  O(timers) scan — invariant-checking
   // introspection only, never on a runtime path.
@@ -271,6 +276,8 @@ class Scheduler {
   // analyzer's switch probe (no-op if none is installed).
   static void forbidden_switch_point(VThread* t);
 
+  // A reclaimed stack from the free list, or a freshly mapped one.
+  std::unique_ptr<Stack> take_stack();
   VThread* pick_next();
   // MAY_ALLOC: the obs recorder lazily registers a thread's ring at
   // dispatch (legal: scheduler context is never a forbidden region).
@@ -304,8 +311,14 @@ class Scheduler {
     }
   };
 
+  // Cap on reclaimed stacks kept for reuse; a finished thread's stack
+  // beyond it is unmapped.
+  static constexpr std::size_t kMaxFreeStacks = 256;
+
   SchedulerConfig cfg_;
   std::vector<std::unique_ptr<VThread>> threads_;
+  // Finished threads' stacks awaiting reuse (all cfg_.stack_size bytes).
+  std::vector<std::unique_ptr<Stack>> free_stacks_;
   // Ready queue: priority-bucketed in strict mode, single FIFO bucket in the
   // paper-faithful round-robin mode; O(1) either way.
   WaitQueue ready_;
@@ -324,6 +337,7 @@ class Scheduler {
   std::uint64_t ticks_ = 0;
   std::uint64_t dispatches_ = 0;
   std::uint64_t stacks_reclaimed_ = 0;
+  std::uint64_t stacks_mapped_ = 0;
   std::size_t live_count_ = 0;
   bool running_ = false;
   bool stalled_ = false;

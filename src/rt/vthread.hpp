@@ -69,7 +69,7 @@ struct ThreadStats {
 class VThread {
  public:
   VThread(Scheduler* sched, ThreadId id, std::string name, int priority,
-          std::function<void()> body, std::size_t stack_size);
+          std::function<void()> body, std::unique_ptr<Stack> stack);
 
   VThread(const VThread&) = delete;
   VThread& operator=(const VThread&) = delete;

@@ -78,6 +78,7 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
   res.rollbacks = service.rollbacks();
   res.entry_giveups = service.entry_giveups();
   res.max_in_flight_seen = in_flight_hw;
+  res.stacks_mapped = sched.stacks_mapped();
   res.ledger_final = service.ledger_total();
   RVK_CHECK_MSG(res.ledger_final == res.ledger_initial,
                 "open-loop ledger lost money: rollback or protocol bug");

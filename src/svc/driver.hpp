@@ -12,10 +12,11 @@
 // (no coordinated omission).
 //
 // In-flight threads are bounded by an admission cap; an arrival beyond the
-// cap is shed (counted, never silently dropped).  Finished request stacks
-// are reclaimed by the scheduler (rt::Scheduler), so stack memory is
-// O(max_in_flight); each finished request's control block and undo log
-// still live until the scheduler dies (DESIGN.md §15).
+// cap is shed (counted, never silently dropped).  A finished request's
+// stack, undo-log chunks and dedup table are recycled by the scheduler
+// (rt::Scheduler), so a later request reuses them and memory is
+// O(max_in_flight); only its small control block lives until the scheduler
+// dies (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,7 @@ struct OpenLoopResult {
   std::uint64_t rollbacks = 0;    // kRevocation only
   std::uint64_t entry_giveups = 0;
   std::uint64_t max_in_flight_seen = 0;
+  std::uint64_t stacks_mapped = 0;  // rt::Scheduler::stacks_mapped()
   std::uint64_t ledger_initial = 0;
   std::uint64_t ledger_final = 0;  // == ledger_initial (conservation)
 };

@@ -54,6 +54,19 @@ TEST(DedupTableTest, GrowsPastInitialCapacity) {
   EXPECT_GE(t.capacity(), 1024u);
 }
 
+TEST(DedupTableTest, SlotsAllocatedOnFirstUseAndReleasable) {
+  log::DedupTable t;
+  EXPECT_EQ(t.capacity(), 0u);  // dedup off never pays for the table
+  log::Word a = 0;
+  EXPECT_TRUE(t.should_log(&a, 1));
+  EXPECT_EQ(t.capacity(), 256u);
+  EXPECT_FALSE(t.should_log(&a, 1));
+  t.release_storage();
+  EXPECT_EQ(t.capacity(), 0u);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t.should_log(&a, 1));  // usable again: forgot the old entry
+}
+
 TEST(DedupTest, RepeatedWritesLogOnce) {
   Fixture fx(Fixture::dedup_cfg());
   heap::HeapObject* o = fx.heap.alloc("o", 1);

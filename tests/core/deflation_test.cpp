@@ -4,6 +4,7 @@
 // by any frame, and survive nothing they shouldn't.
 #include <gtest/gtest.h>
 
+#include "common/names.hpp"
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "monitor/monitor_table.hpp"
@@ -100,7 +101,7 @@ TEST(DeflationTest, ReinflationAfterScavengeKeepsExclusion) {
   // (pooled) table and the protocol continues as if nothing happened.
   int max_inside = 0, inside = 0;
   for (int t = 0; t < 3; ++t) {
-    fx.sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
+    fx.sched.spawn(indexed_name("t", t), rt::kNormPriority, [&] {
       for (int i = 0; i < 5; ++i) {
         fx.engine.synchronized(obj, [&] {
           max_inside = std::max(max_inside, ++inside);

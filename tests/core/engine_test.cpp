@@ -6,6 +6,7 @@
 
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
+#include "log/undo_log.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::core {
@@ -493,6 +494,51 @@ TEST(EngineTest, RetryBackoffDelaysVictim) {
   // lo re-ran its 1500-iteration section after a ≥500-tick backoff on top
   // of the ~50 ticks before revocation.
   EXPECT_GE(lo_commit_tick, 2000u);
+}
+
+TEST(EngineTest, RollbackOnRecycledChunkRestoresEveryWord) {
+  // A finished thread's log chunk returns to the OS thread's pool still
+  // holding its stale entries.  A later thread logging into that recycled
+  // chunk and then revoked must restore exactly its own pre-section values.
+  Fixture fx;
+  constexpr int kWords = 64;
+  heap::HeapArray<int>* arr = fx.heap.alloc_array<int>(kWords);
+  RevocableMonitor* m = fx.engine.make_monitor("m");
+  fx.sched.spawn("dead", rt::kNormPriority, [&] {
+    fx.engine.synchronized(*m, [&] {
+      for (int r = 0; r < 3; ++r) {
+        for (int i = 0; i < kWords; ++i) arr->set(i, 1000 * r + i);
+      }
+    });
+  });
+  fx.sched.run();
+  const std::uint64_t allocated = log::detail::allocated_chunk_count();
+  int lo_runs = 0;
+  std::vector<int> seen_by_hi;
+  fx.sched.spawn("lo", 2, [&] {
+    fx.engine.synchronized(*m, [&] {
+      ++lo_runs;
+      for (int i = 0; i < kWords; ++i) arr->set(i, -1 - i);
+      for (int i = 0; i < kWords; i += 3) arr->set(i, -100 - i);
+      if (lo_runs == 1) {
+        for (int i = 0; i < 3000; ++i) fx.sched.yield_point();
+      }
+    });
+  });
+  fx.sched.spawn("hi", 8, [&] {
+    fx.sched.sleep_for(50);
+    fx.engine.synchronized(*m, [&] {
+      for (int i = 0; i < kWords; ++i) seen_by_hi.push_back(arr->get(i));
+    });
+  });
+  fx.sched.run();
+  EXPECT_EQ(log::detail::allocated_chunk_count(), allocated);  // recycled
+  EXPECT_EQ(lo_runs, 2);
+  ASSERT_EQ(seen_by_hi.size(), static_cast<std::size_t>(kWords));
+  for (int i = 0; i < kWords; ++i) {
+    EXPECT_EQ(seen_by_hi[i], 2000 + i) << i;  // "dead"'s committed value
+    EXPECT_EQ(arr->get(i), i % 3 == 0 ? -100 - i : -1 - i) << i;
+  }
 }
 
 TEST(EngineTest, StatsAggregateLogAppends) {

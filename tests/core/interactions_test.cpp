@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/names.hpp"
 #include "core/engine.hpp"
 #include "core/report.hpp"
 #include "heap/heap.hpp"
@@ -207,7 +208,7 @@ TEST(InteractionTest, StatsInvariants) {
   RevocableMonitor* m = fx.engine.make_monitor("m");
   heap::HeapObject* o = fx.heap.alloc("o", 4);
   for (int t = 0; t < 6; ++t) {
-    fx.sched.spawn("t" + std::to_string(t), t < 2 ? 8 : 2, [&, t] {
+    fx.sched.spawn(indexed_name("t", t), t < 2 ? 8 : 2, [&, t] {
       for (int s = 0; s < 4; ++s) {
         fx.sched.sleep_for(static_cast<std::uint64_t>(37 * (t + s + 1)));
         fx.engine.synchronized(*m, [&] {

@@ -2,6 +2,7 @@
 // speculative-allocation reclamation.
 #include <gtest/gtest.h>
 
+#include "common/names.hpp"
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "rt/scheduler.hpp"
@@ -30,7 +31,7 @@ TEST(ObjectMonitorTest, SynchronizedOnObjectExcludes) {
   heap::HeapObject* account = fx.heap.alloc("account", 1);
   int max_inside = 0, inside = 0;
   for (int t = 0; t < 4; ++t) {
-    fx.sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
+    fx.sched.spawn(indexed_name("t", t), rt::kNormPriority, [&] {
       for (int s = 0; s < 10; ++s) {
         fx.engine.synchronized(account, [&] {
           max_inside = std::max(max_inside, ++inside);

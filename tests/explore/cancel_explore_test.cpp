@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/names.hpp"
 #include "core/engine.hpp"
 #include "core/revocable_monitor.hpp"
 #include "explore/explorer.hpp"
@@ -251,7 +252,7 @@ void timeout_cancel_churn(ScenarioContext& ctx) {
   static constexpr std::uint64_t kTicks[3] = {0, 3, 40};
   for (int i = 0; i < 3; ++i) {
     st->workers[i] =
-        s.spawn("w" + std::to_string(i), 3 + i, [&s, &e, a, b, st, i] {
+        s.spawn(indexed_name("w", i), 3 + i, [&s, &e, a, b, st, i] {
           for (int r = 0; r < 2; ++r) {
             core::RevocableMonitor* mon = (i + r) % 2 == 0 ? a : b;
             const int slot = (i + r) % 2;

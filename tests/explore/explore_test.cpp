@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/names.hpp"
 #include "core/engine.hpp"
 #include "core/revocable_monitor.hpp"
 #include "explore/explorer.hpp"
@@ -641,7 +642,7 @@ void broken_barging(ScenarioContext& ctx) {
   core::Engine& e = ctx.engine();
   auto* bad = ctx.make<AlwaysReservingMonitor>("bad", e);
   for (int i = 0; i < 2; ++i) {
-    s.spawn("t" + std::to_string(i), 5, [&s, &e, bad] {
+    s.spawn(indexed_name("t", i), 5, [&s, &e, bad] {
       e.synchronized(*bad, [&] {
         s.yield_point();
         s.yield_point();

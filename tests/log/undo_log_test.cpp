@@ -238,6 +238,42 @@ TEST(UndoLogTest, DestructorReturnsChunksToPool) {
   EXPECT_GE(detail::pooled_chunk_count(), pooled_before + 1);
 }
 
+TEST(UndoLogTest, ReleaseStorageReturnsChunksAndKeepsStats) {
+  // What the scheduler does when a thread finishes: every chunk goes back
+  // to the pool, the log is as good as new, and its traffic counters stay.
+  UndoLog log(4);
+  Word s = 0;
+  for (std::size_t i = 0; i < UndoLog::kChunkEntries + 1; ++i) {
+    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+  }
+  log.discard_all();
+  const std::size_t pooled_before = detail::pooled_chunk_count();
+  log.release_storage();
+  EXPECT_EQ(log.capacity(), 0u);
+  EXPECT_TRUE(log.empty());
+  EXPECT_GE(detail::pooled_chunk_count(), pooled_before + 1);
+  EXPECT_EQ(log.stats().appends, UndoLog::kChunkEntries + 1);
+  EXPECT_EQ(log.stats().commits, 1u);
+  EXPECT_EQ(log.stats().high_water, UndoLog::kChunkEntries + 1);
+  // Reusable afterwards, from the pool rather than the allocator.
+  const std::uint64_t allocated = detail::allocated_chunk_count();
+  s = 5;
+  log.record(EntryKind::kObjectField, &s, s, nullptr, 0);
+  s = 6;
+  log.rollback_to(0);
+  EXPECT_EQ(s, 5u);
+  EXPECT_EQ(detail::allocated_chunk_count(), allocated);
+}
+
+TEST(UndoLogTest, ReleaseStorageOfNonEmptyLogFailsCheck) {
+  // A finished thread has no open frame; live entries at release would be
+  // speculative stores nobody can roll back any more.
+  UndoLog log;
+  Word s = 0;
+  log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+  EXPECT_DEATH(log.release_storage(), "non-empty undo log");
+}
+
 TEST(UndoLogTest, RollbackReleasesRetiredChunks) {
   UndoLog log(4);
   Word s = 0;

@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "common/names.hpp"
 #include "monitor/lock_word.hpp"
 #include "monitor/monitor_table.hpp"
 #include "monitor/thin_lock.hpp"
@@ -272,10 +273,10 @@ TEST(MonitorTableTest, ThinLockChurnKeepsSlotCountFlat) {
   const std::size_t live_before = table.live_slots();
   std::vector<std::unique_ptr<ThinLock>> locks;
   for (int i = 0; i < 64; ++i) {
-    locks.push_back(std::make_unique<ThinLock>("l" + std::to_string(i)));
+    locks.push_back(std::make_unique<ThinLock>(indexed_name("l", i)));
   }
   for (int t = 0; t < 4; ++t) {
-    s.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
+    s.spawn(indexed_name("t", t), rt::kNormPriority, [&] {
       for (int round = 0; round < 3; ++round) {
         for (auto& l : locks) {
           ThinLockGuard g(*l);

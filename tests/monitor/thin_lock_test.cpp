@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/names.hpp"
 #include "monitor/thin_lock.hpp"
 #include "rt/scheduler.hpp"
 
@@ -145,7 +146,7 @@ TEST(ThinLockTest, ManyThreadsMutualExclusion) {
   ThinLock lock("l");
   int inside = 0, max_inside = 0, total = 0;
   for (int t = 0; t < 5; ++t) {
-    s.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
+    s.spawn(indexed_name("t", t), rt::kNormPriority, [&] {
       for (int i = 0; i < 20; ++i) {
         ThinLockGuard g(lock);
         max_inside = std::max(max_inside, ++inside);

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "common/names.hpp"
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "jmm/checker.hpp"
@@ -53,7 +54,7 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   jmm::Trace::enable();
   for (int t = 0; t < 4; ++t) {
     const int prio = (t < 2) ? 2 : (t == 2 ? 5 : 9);
-    sched.spawn("t" + std::to_string(t), prio, [&, t, prio] {
+    sched.spawn(indexed_name("t", t), prio, [&, t, prio] {
       for (int s = 0; s < 4; ++s) {
         sched.sleep_for(static_cast<std::uint64_t>(50 + 70 * t + 30 * s));
         const std::uint64_t t0 = sched.now();

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
@@ -169,7 +170,7 @@ TEST(DeterminismTest, SameSeedSameExecution) {
     heap::HeapArray<std::uint64_t>* arr = h.alloc_array<std::uint64_t>(8);
     RevocableMonitor* m = engine.make_monitor("m");
     for (int t = 0; t < 4; ++t) {
-      sched.spawn("t" + std::to_string(t), t < 2 ? 8 : 2, [&, t] {
+      sched.spawn(indexed_name("t", t), t < 2 ? 8 : 2, [&, t] {
         SplitMix64 rng(0xD15EA5E ^ (t * 7919));
         for (int s = 0; s < 3; ++s) {
           sched.sleep_for(rng.next_below(30));

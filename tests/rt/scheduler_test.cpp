@@ -1,10 +1,12 @@
 // Scheduler: quasi-preemptive round-robin semantics (Jikes RVM model).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::rt {
@@ -309,25 +311,90 @@ TEST(SchedulerTest, CurrentVThreadAccessors) {
 
 TEST(SchedulerTest, FinishedThreadStacksAreReclaimed) {
   // Open-loop drivers inject far more threads than are ever live at once;
-  // each finished fiber must give its stack back at dispatch so memory is
-  // O(live threads), not O(total spawned).
+  // each finished fiber must give its stack back at dispatch, and later
+  // spawns must reuse it, so memory is O(live threads), not O(total
+  // spawned).
   Scheduler s;
   constexpr int kThreads = 50;
   for (int i = 0; i < kThreads; ++i) {
-    s.spawn("t" + std::to_string(i), kNormPriority, [&] {
+    s.spawn(indexed_name("t", i), kNormPriority, [&] {
       for (int j = 0; j < 3; ++j) s.yield_point();
     });
   }
   EXPECT_EQ(s.stacks_reclaimed(), 0u);
+  EXPECT_EQ(s.stacks_mapped(), kThreads);  // all live at once: all fresh
   s.run();
   EXPECT_EQ(s.stacks_reclaimed(), kThreads);
-  // Spawning from inside a green thread reclaims too.
+  // Spawning from inside a green thread reclaims too — and both threads run
+  // on recycled stacks.
   s.spawn("parent", kNormPriority, [&] {
     s.spawn("child", kNormPriority, [] {});
     s.yield_point();
   });
   s.run();
   EXPECT_EQ(s.stacks_reclaimed(), kThreads + 2u);
+  EXPECT_EQ(s.stacks_mapped(), kThreads);
+}
+
+TEST(SchedulerTest, SpawnAfterFinishRunsOnRecycledStack) {
+  SchedulerConfig cfg;
+  cfg.stack_size = 64 * 1024;
+  Scheduler s(cfg);
+  // A local near the top of each fiber's stack: two threads on the same
+  // mapping put it within a few frames of each other, two on different
+  // mappings at least a whole stack (plus guard page) apart.
+  auto frame_address = [] {
+    volatile char probe = 0;
+    return reinterpret_cast<std::uintptr_t>(&probe);
+  };
+  // The recycled stack is fully usable: touch half of it.
+  auto touch_stack = [] {
+    volatile char buf[32 * 1024];
+    for (std::size_t i = 0; i < sizeof(buf); i += 4096) buf[i] = 1;
+  };
+  std::uintptr_t first = 0, second = 0;
+  VThread* a = s.spawn("a", kNormPriority, [&] { first = frame_address(); });
+  s.run();
+  ASSERT_TRUE(a->finished());
+  s.spawn("b", kNormPriority, [&] {
+    second = frame_address();
+    touch_stack();
+    s.yield_point();
+  });
+  s.run();
+  EXPECT_EQ(s.stacks_mapped(), 1u);
+  EXPECT_EQ(s.stacks_reclaimed(), 2u);
+  const std::uintptr_t apart = first > second ? first - second : second - first;
+  EXPECT_LT(apart, cfg.stack_size / 2);
+}
+
+TEST(SchedulerTest, FinishReleasesLogStorageButKeepsStats) {
+  Scheduler s;
+  log::Word slot = 0;
+  VThread* t = s.spawn("t", kNormPriority, [&] {
+    VThread* self = s.current_thread();
+    self->undo_log.record(log::EntryKind::kObjectField, &slot, 0, nullptr, 0);
+    self->undo_log.discard_all();
+    EXPECT_TRUE(self->dedup.should_log(&slot, 1));
+    EXPECT_GT(self->undo_log.capacity(), 0u);
+    EXPECT_GT(self->dedup.capacity(), 0u);
+  });
+  EXPECT_EQ(t->dedup.capacity(), 0u);  // allocated on first use, not spawn
+  s.run();
+  EXPECT_EQ(t->undo_log.capacity(), 0u);
+  EXPECT_EQ(t->dedup.capacity(), 0u);
+  EXPECT_EQ(t->undo_log.stats().appends, 1u);  // stats survive the release
+  EXPECT_EQ(t->undo_log.stats().commits, 1u);
+  // The chunk went back to this OS thread's pool: the next thread logs
+  // into it without touching the allocator.
+  const std::uint64_t allocated = log::detail::allocated_chunk_count();
+  s.spawn("u", kNormPriority, [&] {
+    s.current_thread()->undo_log.record(log::EntryKind::kObjectField, &slot,
+                                        0, nullptr, 0);
+    s.current_thread()->undo_log.discard_all();
+  });
+  s.run();
+  EXPECT_EQ(log::detail::allocated_chunk_count(), allocated);
 }
 
 TEST(SchedulerTest, RunAgainAfterAddingThreads) {

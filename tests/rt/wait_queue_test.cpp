@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/names.hpp"
 #include "monitor/monitor.hpp"
 #include "rt/scheduler.hpp"
 
@@ -21,8 +22,8 @@ class WaitQueueTest : public ::testing::Test {
   VThread* make_thread(int priority) {
     ++n_;
     threads_.push_back(std::make_unique<VThread>(
-        &sched_, static_cast<ThreadId>(n_), "t" + std::to_string(n_),
-        priority, [] {}, /*stack_size=*/4096));
+        &sched_, static_cast<ThreadId>(n_), indexed_name("t", n_),
+        priority, [] {}, /*stack=*/nullptr));
     return threads_.back().get();
   }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "log/undo_log.hpp"
 #include "svc/driver.hpp"
 
 namespace rvk::svc {
@@ -118,6 +119,35 @@ TEST(OpenLoopDriverTest, LatencyChargedFromScheduledArrival) {
   ASSERT_GT(r.recorder.completed(0), 10u);
   // Mean latency must exceed the bare section cost: the backlog is charged.
   EXPECT_GT(r.recorder.latency(0).mean(), 50.0);
+}
+
+TEST(OpenLoopDriverTest, RecycledResourcesStayBoundedAsDurationDoubles) {
+  // One green thread per request, but a finished request's stack and undo-
+  // log chunk are recycled: fresh stack mappings and fresh chunk
+  // allocations are bounded by the live high-water (requests in flight plus
+  // the injector), not by the number of requests spawned — doubling the
+  // run doubles the spawns, not the fresh allocations.  rho = 95% under
+  // revocation (the repository benchmark's open_revocation point): requests
+  // log, and many roll back.
+  OpenLoopConfig cfg;
+  cfg.arrivals.rate = static_cast<std::uint32_t>(
+      std::uint64_t{kProbOne} * 95 / (100 * 88));
+  cfg.service.protocol = Protocol::kRevocation;
+  cfg.seed = 42;
+  for (const std::uint64_t duration : {80'000u, 160'000u}) {
+    SCOPED_TRACE(duration);
+    cfg.duration = duration;
+    const std::uint64_t chunks_before = log::detail::allocated_chunk_count();
+    const OpenLoopResult r = run_open_loop(cfg);
+    const std::uint64_t fresh_chunks =
+        log::detail::allocated_chunk_count() - chunks_before;
+    const std::uint64_t live_high_water = r.max_in_flight_seen + 1;
+    EXPECT_GT(r.rollbacks, 0u);
+    EXPECT_GT(r.arrivals, 8 * live_high_water);  // the bound is no spawn count
+    EXPECT_GE(r.stacks_mapped, 1u);
+    EXPECT_LE(r.stacks_mapped, live_high_water);
+    EXPECT_LE(fresh_chunks, live_high_water);
+  }
 }
 
 }  // namespace
