@@ -466,6 +466,7 @@ void Engine::commit_frame(rt::VThread* t) {
 
   if (ts.frames.empty()) {
     // Outermost commit: all speculative stores become permanent.
+    stats_.log_appends += t->undo_log.size();
     t->undo_log.discard_all();
     if (cfg_.dedup_logging) t->dedup.clear();  // bound the filter's memory
     ++t->section_epoch;
@@ -516,7 +517,9 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
       jmm::Trace::record_undo(jmm::Loc{e.base, e.offset}, e.old_value);
     });
   }
-  stats_.words_undone += t->undo_log.size() - f.log_mark;
+  const std::uint64_t undone = t->undo_log.size() - f.log_mark;
+  stats_.words_undone += undone;
+  stats_.log_appends += undone;
   t->undo_log.rollback_to(f.log_mark);
 
   --t->sync_depth;
@@ -1032,22 +1035,6 @@ void Engine::publish_metrics(obs::Registry& reg) {
   for (const RevocableMonitor* m : monitors_) {
     obs::publish(reg, m->stats(), "monitor." + m->name() + ".stats.");
   }
-}
-
-// ---------------------------------------------------------------------------
-// Statistics
-
-const EngineStats& Engine::stats() {
-  stats_.log_appends = 0;
-  for (const auto& [t, ts] : sync_states_) {
-    stats_.log_appends += t->undo_log.stats().appends;
-  }
-  return stats_;
-}
-
-void Engine::reset_stats() {
-  stats_ = EngineStats{};
-  for (const auto& [t, ts] : sync_states_) t->undo_log.reset_stats();
 }
 
 }  // namespace rvk::core

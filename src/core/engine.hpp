@@ -206,7 +206,9 @@ struct EngineStats {
   std::uint64_t frames_pinned = 0;
   std::uint64_t foreign_reads_observed = 0;
   std::uint64_t spec_allocs_reclaimed = 0;  // allocations undone by rollbacks
-  std::uint64_t words_undone = 0;
+  std::uint64_t words_undone = 0;  // undo-log entries replayed by rollbacks
+  // Undo-log entries recorded, counted as they leave the log (outermost
+  // commit, rollback replay): exact whenever no section is open.
   std::uint64_t log_appends = 0;
   // Abortable section entries (try_synchronized / try_section_enter) that
   // gave up — deadline expired or cancellation requested (DESIGN.md §14).
@@ -430,8 +432,7 @@ class Engine {
   // non-revocability of the monitor (and all of its enclosing monitors)".
   void pin_current_frames(PinReason reason);
 
-  const EngineStats& stats();
-  void reset_stats();
+  const EngineStats& stats() const { return stats_; }
 
   // Folds this engine's stats and every registered monitor's stats into an
   // obs registry ("engine.*", "monitor.<name>.stats.*") — the consolidated

@@ -72,7 +72,6 @@ void UndoLog::release_storage() {
 }
 
 void UndoLog::next_chunk() {
-  note_high_water();
   if (chunk_begin_ != nullptr) {
     ++active_;  // first append into a fresh log keeps active_ == 0
   }
@@ -120,8 +119,6 @@ void UndoLog::release_retired_chunks() {
 void UndoLog::rollback_to(std::size_t mark) {
   const std::size_t n = size();
   RVK_CHECK_MSG(mark <= n, "watermark beyond log end");
-  note_high_water();
-  stats_.words_undone += n - mark;
   // Reverse replay, one segment at a time: within a chunk the walk is a
   // tight descending loop over contiguous entries.
   std::size_t i = n;
@@ -138,16 +135,13 @@ void UndoLog::rollback_to(std::size_t mark) {
   }
   set_position(mark);
   release_retired_chunks();
-  ++stats_.rollbacks;
   log_obs_event(LogEventKind::kRollback, n - mark);
 }
 
 void UndoLog::discard_all() {
-  note_high_water();
   const std::size_t n = size();
   set_position(0);
   release_retired_chunks();
-  ++stats_.commits;
   log_obs_event(LogEventKind::kCommitDiscard, n);
 }
 

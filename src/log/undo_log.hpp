@@ -100,16 +100,6 @@ inline void log_obs_event(LogEventKind kind, std::uint64_t arg) {
   }
 }
 
-// Statistics a log keeps about its own traffic; consumed by tests and by the
-// micro-overhead benchmarks.
-struct LogStats {
-  std::uint64_t appends = 0;          // total entries ever recorded
-  std::uint64_t words_undone = 0;     // entries replayed by rollbacks
-  std::uint64_t rollbacks = 0;        // rollback_to() invocations
-  std::uint64_t commits = 0;          // discard_all() invocations
-  std::uint64_t high_water = 0;       // max simultaneous entries
-};
-
 class UndoLog {
  public:
   // Entries per chunk.  4096 × 32 B = 128 KB — exactly glibc's default
@@ -137,14 +127,14 @@ class UndoLog {
 
   // Appends one store record.  Called from the write-barrier slow path —
   // this is the per-store cost the paper's modified VM charges to every
-  // thread, so it stays minimal: one predicted-not-taken chunk-full test,
-  // one bump-pointer store, one counter.  Growth never moves existing
-  // entries.
+  // thread, so it stays minimal: one predicted-not-taken chunk-full test
+  // and one bump-pointer store.  The log keeps no counters; the engine
+  // counts entries as they leave (commit discard, rollback replay).  Growth
+  // never moves existing entries.
   RVK_MAY_ALLOC void record(EntryKind kind, Word* addr, Word old_value,
                             const void* base, std::uint32_t offset) {
     if (cursor_ == chunk_end_) [[unlikely]] next_chunk();
     *cursor_++ = Entry{addr, old_value, base, offset, kind};
-    ++stats_.appends;
   }
 
   // Current size; monitor frames capture this as their watermark.
@@ -187,22 +177,9 @@ class UndoLog {
     for (std::size_t i = size(); i > mark; --i) f(entry(i - 1));
   }
 
-  // Snapshot of the traffic counters.  The high-water mark is folded in
-  // here and maintained on the cold paths (chunk growth, rollback, commit),
-  // keeping the append fast path free of it and the accessor const.
-  LogStats stats() const {
-    LogStats s = stats_;
-    const std::uint64_t n = size();
-    if (n > s.high_water) s.high_water = n;
-    return s;
-  }
-  void reset_stats() { stats_ = LogStats{}; }
-
   // Returns every chunk to the per-thread pool and resets the cursor, as if
-  // freshly constructed — except that the traffic statistics survive (the
-  // engine sums them over finished threads).  The scheduler calls this when
-  // a thread finishes; a finished thread has no open frame, so the log must
-  // be empty (checked).
+  // freshly constructed.  The scheduler calls this when a thread finishes; a
+  // finished thread has no open frame, so the log must be empty (checked).
   void release_storage();
 
   // Allocated entry slots across all chunks (diagnostics).
@@ -213,8 +190,7 @@ class UndoLog {
   std::size_t count_kind(EntryKind kind, std::size_t from = 0) const;
 
  private:
-  // Cold path of record(): opens the next chunk (pool, then allocator) and
-  // refreshes the high-water statistic.
+  // Cold path of record(): opens the next chunk (pool, then allocator).
   RVK_MAY_ALLOC void next_chunk();
 
   // Repositions the cursor at logical index `n` (≤ current size).
@@ -227,17 +203,11 @@ class UndoLog {
   // Returns every chunk to the pool and forgets the cursor.
   void return_chunks();
 
-  void note_high_water() {
-    const std::uint64_t n = size();
-    if (n > stats_.high_water) stats_.high_water = n;
-  }
-
   std::vector<std::unique_ptr<Entry[]>> chunks_;
   Entry* cursor_ = nullptr;       // next append slot within the active chunk
   Entry* chunk_begin_ = nullptr;  // active chunk bounds (nullptr: no chunk)
   Entry* chunk_end_ = nullptr;
   std::size_t active_ = 0;        // index of the active chunk
-  LogStats stats_;
 };
 
 }  // namespace rvk::log

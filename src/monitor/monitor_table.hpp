@@ -168,7 +168,12 @@ class MonitorTable {
   // themselves are priced by the caller — the table cannot know concrete
   // monitor sizes).
   std::size_t slot_bytes() const;
-  const MonitorTableStats& stats() const { return stats_; }
+  // A snapshot taken under the pool lock: in multi-shard mode another shard
+  // may be inflating or deflating while this one reads.
+  MonitorTableStats stats() const {
+    auto lk = lock();
+    return stats_;
+  }
 
  private:
   static constexpr std::uint32_t kNoFree = 0xffffffffu;

@@ -1,13 +1,14 @@
 // Metrics registry: one export surface for every counter and latency
 // distribution the runtime produces (DESIGN.md §10).
 //
-// The runtime's statistics were historically scattered — `UndoLog::stats()`,
-// `monitor::MonitorStats`, `core::EngineStats`, ad-hoc figure CSVs.  Those
-// accessors all remain (they are the storage, and tests use them), but the
-// registry is where they are *published*: the publish() adapters below fold
-// each legacy struct into named registry entries, and Registry::write_json
-// emits everything in one google-benchmark-shaped document compatible with
-// the CI's BENCH_*.json snapshot archive.
+// Counters live where their events happen: the engine's `core::EngineStats`
+// (which also counts undo-log traffic — logs and threads keep no counters)
+// and the per-monitor and monitor-table stats structs.  Those structs are the
+// storage, and tests read them directly, but the registry is where they are
+// *published*: the publish() adapters below fold each struct into named
+// registry entries, and Registry::write_json emits everything in one
+// google-benchmark-shaped document compatible with the CI's BENCH_*.json
+// snapshot archive.
 //
 // Entries are insertion-ordered and their references are stable for the
 // registry's lifetime (entries are never erased, only cleared wholesale), so
@@ -33,10 +34,6 @@ struct EngineStats;
 namespace rvk::monitor {
 struct MonitorStats;
 struct MonitorTableStats;
-struct ThinLockStats;
-}
-namespace rvk::log {
-struct LogStats;
 }
 
 namespace rvk::obs {
@@ -108,12 +105,12 @@ class Registry {
   std::unordered_map<std::string, std::size_t> index_;
 };
 
-// ---- Legacy-stats adapters (the consolidation seam) ----
+// ---- Stats adapters (the consolidation seam) ----
 //
-// Each adapter folds one of the runtime's pre-existing stats structs into
-// the registry under `prefix` + field name.  Counters accumulate (+=) so
-// per-run publications sum across a sweep's repetitions; high-water marks
-// fold with max.
+// Each adapter folds one of the runtime's stats structs into the registry
+// under `prefix` + field name.  Counters accumulate (+=) so per-run
+// publications sum across a sweep's repetitions; high-water marks fold with
+// max.
 
 void publish(Registry& r, const core::EngineStats& s,
              std::string_view prefix = "engine.");
@@ -121,10 +118,6 @@ void publish(Registry& r, const monitor::MonitorStats& s,
              std::string_view prefix);
 void publish(Registry& r, const monitor::MonitorTableStats& s,
              std::string_view prefix = "montable.");
-void publish(Registry& r, const monitor::ThinLockStats& s,
-             std::string_view prefix);
-void publish(Registry& r, const log::LogStats& s,
-             std::string_view prefix = "log.");
 
 // Escapes `s` for inclusion in a JSON string literal (used by the trace
 // exporter too).

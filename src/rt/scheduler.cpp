@@ -218,7 +218,6 @@ void Scheduler::dispatch(VThread* t) {
   RVK_CHECK(t->state_ == ThreadState::kRunnable);
   t->state_ = ThreadState::kRunning;
   t->quantum_left_ = cfg_.quantum;
-  ++t->stats_.dispatches;
   ++dispatches_;
   current_ = t;
   obs::on_dispatch(t);
@@ -259,13 +258,12 @@ void Scheduler::dispatch(VThread* t) {
       // down its ASan fake stack), so nothing can touch it again: a
       // finished thread is never dispatched and join() only reads control-
       // block fields.  The stack goes on the free list for the next
-      // spawn(), the undo-log chunks to this OS thread's chunk pool
-      // (keeping the log's stats, which the engine sums over finished
-      // threads) and the dedup slot array back to the allocator.  So when
-      // open-loop drivers (svc/) spawn one short-lived green thread per
-      // request, a spawn maps, faults and zero-fills nothing, and memory
-      // beyond the ~1.6 KB control block (kept in threads_ until the
-      // scheduler dies) is O(live threads).
+      // spawn(), the undo-log chunks to this OS thread's chunk pool and the
+      // dedup slot array back to the allocator.  So when open-loop drivers
+      // (svc/) spawn one short-lived green thread per request, a spawn
+      // maps, faults and zero-fills nothing, and memory beyond the ~1.6 KB
+      // control block (kept in threads_ until the scheduler dies) is
+      // O(live threads).
       if (free_stacks_.size() < kMaxFreeStacks) {
         free_stacks_.push_back(std::move(t->stack_));
       } else {
@@ -355,7 +353,6 @@ void Scheduler::block_current_on(WaitQueue& q) {
   t->state_ = ThreadState::kBlocked;
   t->blocked_on_ = &q;
   q.push(t);
-  ++t->stats_.blocks;
   switch_out(SwitchReason::kBlock);
   // Woken: the waker (or interrupt) already removed us from the queue.
   RVK_DCHECK(t->blocked_on_ == nullptr);

@@ -124,7 +124,6 @@ class Scheduler {
     ++ticks_;
     VThread* t = current_;
     RVK_DCHECK(t != nullptr);
-    ++t->stats_.yield_points;
     // A lazily-deferred frame must become a real, revocable core::Frame
     // before any switch can let another thread observe this one (§11).
     if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);

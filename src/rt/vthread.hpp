@@ -60,12 +60,6 @@ enum class SwitchReason : std::uint8_t {
   kFinish,   // thread body completed
 };
 
-struct ThreadStats {
-  std::uint64_t dispatches = 0;    // times scheduled onto the processor
-  std::uint64_t yield_points = 0;  // yield points executed
-  std::uint64_t blocks = 0;        // times parked on a queue
-};
-
 class VThread {
  public:
   VThread(Scheduler* sched, ThreadId id, std::string name, int priority,
@@ -90,7 +84,6 @@ class VThread {
   ThreadState state() const { return state_; }
   bool finished() const { return state_ == ThreadState::kFinished; }
   Scheduler* scheduler() const { return sched_; }
-  const ThreadStats& stats() const { return stats_; }
 
   // ---- Synchronized-section support (used by heap/ barriers and core/) ----
 
@@ -217,8 +210,6 @@ class VThread {
   WaitQueue* blocked_on_ = nullptr;  // queue currently parked in, if any
   WaitQueue joiners_;                // threads join()ing on this one
   std::exception_ptr uncaught_;
-
-  ThreadStats stats_;
 };
 
 // Defined here (not in wait_queue.hpp) because it walks the intrusive links

@@ -4,14 +4,16 @@
 // targeting, upward pin closure §2.2, refusal-as-counted-drop), cross-shard
 // notify wakes a remote waiter, a remote boost repositions the target in
 // its home shard's queues, and the deflation veto holds while any inbound
-// message is in flight.  The last test starts shards on real OS threads
-// instead, to check that their engines can be built concurrently.
+// message is in flight.  The last two tests start shards on real OS threads
+// instead, to check that their engines can be built concurrently and that
+// the shared monitor table's counters can be read while a peer changes them.
 //
 // All cooperative scenarios run with strict_priority=true: sequencing below
 // is argued from priorities (a priority-1 trigger thread runs only after
 // everything above it blocked), which round-robin would not guarantee.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "core/engine.hpp"
 #include "core/revocable_monitor.hpp"
 #include "heap/heap.hpp"
+#include "monitor/monitor_table.hpp"
 #include "rt/domain.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/scheduler.hpp"
@@ -396,13 +399,12 @@ TEST(CrossShardDeflationTest, InboundWorkVetoesDeflation) {
   });
 }
 
-// The one kOsThreads scenario here: each shard builds its Engine in the
-// start lambda, on its own OS thread, so two engine constructors run at
-// once and both register a deflation veto in the process-wide
-// MonitorTable.  The table must already be in its locked multi-shard mode
-// by then; otherwise the two unlocked hash-map inserts race (TSan reports
-// it; without TSan it can corrupt the veto map).  Repeated, since a race
-// needs the constructors to overlap.
+// kOsThreads: each shard builds its Engine in the start lambda, on its own
+// OS thread, so two engine constructors run at once and both register a
+// deflation veto in the process-wide MonitorTable.  The table must already
+// be in its locked multi-shard mode by then; otherwise the two unlocked
+// hash-map inserts race (TSan reports it; without TSan it can corrupt the
+// veto map).  Repeated, since a race needs the constructors to overlap.
 TEST(CrossShardStartupTest, ConcurrentEngineConstructionIsRaceFree) {
   for (int round = 0; round < 20; ++round) {
     rt::DomainSet::Config cfg;
@@ -426,6 +428,63 @@ TEST(CrossShardStartupTest, ConcurrentEngineConstructionIsRaceFree) {
     EXPECT_EQ(committed[0], 1u);
     EXPECT_EQ(committed[1], 1u);
   }
+}
+
+// kOsThreads: shard 0 inflates and deflates an object monitor in a loop
+// (both change the process-wide MonitorTable's counters under its pool
+// mutex) while shard 1 reads MonitorTable::stats() — what publish_metrics
+// does from one shard's teardown while a peer may still run.  The read
+// must be a snapshot under the same mutex; TSan flags an unlocked one.
+TEST(CrossShardMonitorTableTest, StatsReadWhilePeerInflatesIsRaceFree) {
+  constexpr int kCycles = 2000;
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  rt::DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.mode = rt::DomainSet::Mode::kOsThreads;
+  rt::DomainSet set(cfg);
+  heap::Heap heap;
+  heap::HeapObject* obj = heap.alloc("obj", 1);
+  std::unique_ptr<core::Engine> eng[2];
+  std::atomic<bool> done{false};
+  std::uint64_t reads = 0;
+  std::uint64_t inflations_before = 0;
+  std::uint64_t deflations_before = 0;
+  set.start(
+      [&](rt::Domain& d) {
+        // Building the engine puts the table in its locked mode.
+        core::Engine& e = *(eng[d.id()] =
+                                std::make_unique<core::Engine>(d.sched()));
+        if (d.id() == 0) {
+          const monitor::MonitorTableStats st = table.stats();
+          inflations_before = st.inflations;
+          deflations_before = st.deflations;
+          d.sched().spawn("churn", 5, [&e, obj, &done] {
+            for (int i = 0; i < kCycles; ++i) {
+              EXPECT_NE(e.monitor_of(obj), nullptr);
+              EXPECT_EQ(e.scavenge_monitors(), 1u);
+            }
+            done.store(true, std::memory_order_release);
+          });
+        } else {
+          d.sched().spawn("reader", 5, [&table, &done, &reads] {
+            std::uint64_t last = 0;
+            while (!done.load(std::memory_order_acquire)) {
+              const std::uint64_t n = table.stats().inflations;
+              EXPECT_GE(n, last);
+              last = n;
+              ++reads;
+            }
+          });
+        }
+      },
+      [&](rt::Domain& d) { eng[d.id()].reset(); });
+  set.join();
+  EXPECT_GT(reads, 0u);
+  const monitor::MonitorTableStats st = table.stats();
+  EXPECT_EQ(st.inflations - inflations_before,
+            static_cast<std::uint64_t>(kCycles));
+  EXPECT_EQ(st.deflations - deflations_before,
+            static_cast<std::uint64_t>(kCycles));
 }
 
 }  // namespace

@@ -554,5 +554,32 @@ TEST(EngineTest, StatsAggregateLogAppends) {
   EXPECT_EQ(fx.engine.stats().log_appends, 25u);
 }
 
+TEST(EngineTest, LogAppendsCountRevokedAndCommittedAttempts) {
+  // Every entry a section logs is counted once, whether the attempt that
+  // wrote it was revoked (replayed) or committed (discarded).
+  constexpr int kWords = 10;
+  Fixture fx;
+  heap::HeapObject* o = fx.heap.alloc("o", kWords);
+  RevocableMonitor* m = fx.engine.make_monitor("m");
+  int attempts = 0;
+  fx.sched.spawn("Tl", 2, [&] {
+    fx.engine.synchronized(*m, [&] {
+      ++attempts;
+      for (int i = 0; i < kWords; ++i) o->set<int>(i, i + 1);
+      for (int i = 0; i < 3000; ++i) fx.sched.yield_point();
+    });
+  });
+  fx.sched.spawn("Th", 8, [&] {
+    fx.sched.sleep_for(50);
+    fx.engine.synchronized(*m, [] {});  // read-only: logs nothing
+  });
+  fx.sched.run();
+  EXPECT_EQ(attempts, 2);
+  const EngineStats& st = fx.engine.stats();
+  EXPECT_EQ(st.rollbacks_completed, 1u);
+  EXPECT_EQ(st.words_undone, static_cast<std::uint64_t>(kWords));
+  EXPECT_EQ(st.log_appends, static_cast<std::uint64_t>(2 * kWords));
+}
+
 }  // namespace
 }  // namespace rvk::core

@@ -112,23 +112,6 @@ TEST(UndoLogTest, CountKind) {
   EXPECT_EQ(log.count_kind(EntryKind::kArrayElement, 2), 1u);
 }
 
-TEST(UndoLogTest, StatsTrackTraffic) {
-  UndoLog log;
-  Word s = 0;
-  for (int i = 0; i < 10; ++i) {
-    log.record(EntryKind::kObjectField, &s, s, nullptr, 0);
-    s = static_cast<Word>(i);
-  }
-  log.rollback_to(4);
-  log.discard_all();
-  const LogStats& st = log.stats();
-  EXPECT_EQ(st.appends, 10u);
-  EXPECT_EQ(st.words_undone, 6u);
-  EXPECT_EQ(st.rollbacks, 1u);
-  EXPECT_EQ(st.commits, 1u);
-  EXPECT_EQ(st.high_water, 10u);
-}
-
 TEST(UndoLogTest, GrowsBeyondInitialCapacity) {
   UndoLog log(4);
   std::array<Word, 1000> slots{};
@@ -238,9 +221,9 @@ TEST(UndoLogTest, DestructorReturnsChunksToPool) {
   EXPECT_GE(detail::pooled_chunk_count(), pooled_before + 1);
 }
 
-TEST(UndoLogTest, ReleaseStorageReturnsChunksAndKeepsStats) {
+TEST(UndoLogTest, ReleaseStorageReturnsChunks) {
   // What the scheduler does when a thread finishes: every chunk goes back
-  // to the pool, the log is as good as new, and its traffic counters stay.
+  // to the pool and the log is as good as new.
   UndoLog log(4);
   Word s = 0;
   for (std::size_t i = 0; i < UndoLog::kChunkEntries + 1; ++i) {
@@ -252,9 +235,6 @@ TEST(UndoLogTest, ReleaseStorageReturnsChunksAndKeepsStats) {
   EXPECT_EQ(log.capacity(), 0u);
   EXPECT_TRUE(log.empty());
   EXPECT_GE(detail::pooled_chunk_count(), pooled_before + 1);
-  EXPECT_EQ(log.stats().appends, UndoLog::kChunkEntries + 1);
-  EXPECT_EQ(log.stats().commits, 1u);
-  EXPECT_EQ(log.stats().high_water, UndoLog::kChunkEntries + 1);
   // Reusable afterwards, from the pool rather than the allocator.
   const std::uint64_t allocated = detail::allocated_chunk_count();
   s = 5;
@@ -290,20 +270,6 @@ TEST(UndoLogTest, RollbackReleasesRetiredChunks) {
   }
   EXPECT_EQ(log.size(), UndoLog::kChunkEntries + 1);
   EXPECT_EQ(log.entry(UndoLog::kChunkEntries).old_value, 0u);
-}
-
-TEST(UndoLogTest, StatsIsConstAndFoldsLiveHighWater) {
-  UndoLog log;
-  Word s = 0;
-  for (int i = 0; i < 7; ++i) {
-    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
-  }
-  // No cold path (growth/rollback/commit) has run since the appends: the
-  // snapshot must still report the live size as the high water.
-  const UndoLog& clog = log;
-  EXPECT_EQ(clog.stats().high_water, 7u);
-  log.rollback_to(3);
-  EXPECT_EQ(clog.stats().high_water, 7u);  // sticky across truncation
 }
 
 TEST(UndoLogTest, ForEachAboveReverseVisitsNewestFirst) {

@@ -307,13 +307,6 @@ TEST(MonitorTableTest, StatsPublishToRegistry) {
   EXPECT_GE(inf->value, 1u);
   EXPECT_NE(reg.find("montable.deflations"), nullptr);
   EXPECT_NE(reg.find("montable.live_high_water"), nullptr);
-
-  ThinLockStats tls;
-  tls.thin_acquires = 5;
-  obs::publish(reg, tls, "thinlock.l.");
-  const obs::Registry::Entry* thin = reg.find("thinlock.l.thin_acquires");
-  ASSERT_NE(thin, nullptr);
-  EXPECT_EQ(thin->value, 5u);
 }
 
 }  // namespace
